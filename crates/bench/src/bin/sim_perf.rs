@@ -1,7 +1,7 @@
 //! `sim-perf` — the simulator characterization harness.
 //!
-//! Measures wall time, simulated-instructions-per-second and cycle-skip
-//! engagement for a grid of (figure × thread count × engine mode) cells and
+//! Measures wall time, simulated-instructions-per-second and stepped
+//! cycles for a grid of (figure × thread count × engine mode) cells and
 //! appends one run record to the `BENCH_simperf.json` history (schema v2,
 //! `docs/PERF.md`), establishing the perf trajectory of the engine across
 //! PRs.
@@ -20,8 +20,7 @@
 //! * `--threads LIST` — comma-separated worker-thread counts for the
 //!   `parallel` mode cells (default: `1,<host parallelism>` deduplicated),
 //! * `--compare-serial` — add a `serial` cell per figure: every engine
-//!   optimization disabled (one worker, no cycle skipping, no baseline
-//!   memoization),
+//!   optimization disabled (one worker, no baseline memoization),
 //! * `--warm` — add `cold` + `warm` cells per figure: the full engine
 //!   writing through to an empty results store, then the same store re-read
 //!   (a fully warm store simulates nothing),
@@ -165,11 +164,8 @@ fn main() {
     if let Ok(figure) = std::env::var(CELL_CHILD) {
         let cell = time_experiment(&figure, &scale);
         println!(
-            "cell wall_seconds={:.6} simulated_instructions={} cycles_stepped={} cycles_skipped={}",
-            cell.wall_seconds,
-            cell.simulated_instructions,
-            cell.cycles_stepped,
-            cell.cycles_skipped
+            "cell wall_seconds={:.6} simulated_instructions={} cycles_stepped={}",
+            cell.wall_seconds, cell.simulated_instructions, cell.cycles_stepped
         );
         return;
     }
@@ -332,20 +328,13 @@ fn run_cell(
         cmd.arg("--full");
     }
     // A clean engine environment per cell, whatever the parent inherited.
-    for var in [
-        "GAZE_THREADS",
-        "GAZE_CYCLE_SKIP",
-        "GAZE_BASELINE_CACHE",
-        "GAZE_RESULTS_DIR",
-    ] {
+    for var in ["GAZE_THREADS", "GAZE_BASELINE_CACHE", "GAZE_RESULTS_DIR"] {
         cmd.env_remove(var);
     }
     cmd.env(CELL_CHILD, figure)
         .env("GAZE_THREADS", threads.to_string());
     if mode == "serial" {
-        cmd.env("GAZE_THREADS", "1")
-            .env("GAZE_CYCLE_SKIP", "0")
-            .env("GAZE_BASELINE_CACHE", "0");
+        cmd.env("GAZE_THREADS", "1").env("GAZE_BASELINE_CACHE", "0");
     }
     if let Some(dir) = store_dir {
         cmd.env("GAZE_RESULTS_DIR", dir);
@@ -376,7 +365,6 @@ fn run_cell(
         wall_seconds: field("wall_seconds"),
         simulated_instructions: field("simulated_instructions") as u64,
         cycles_stepped: field("cycles_stepped") as u64,
-        cycles_skipped: field("cycles_skipped") as u64,
     };
     gaze_obs::log::info(
         "sim-perf",
@@ -387,10 +375,6 @@ fn run_cell(
             ("threads", &threads),
             ("wall_seconds", &format!("{:.3}", cell.wall_seconds)),
             ("sim_mips", &format!("{:.2}", cell.sim_ips() / 1e6)),
-            (
-                "skipped_pct",
-                &format!("{:.1}", cell.skipped_fraction() * 100.0),
-            ),
         ],
     );
     cell

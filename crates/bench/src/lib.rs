@@ -27,10 +27,10 @@ pub use gaze_sim::experiments::{experiment_names, run_experiment, ExperimentScal
 /// One measured (figure × threads × mode) characterization cell.
 ///
 /// `mode` is one of:
-/// * `"parallel"` — the full engine (thread pool, cycle skipping, baseline
-///   memoization), no results store,
-/// * `"serial"` — every engine optimization off (one worker, no cycle
-///   skipping, no baseline memoization),
+/// * `"parallel"` — the full engine (thread pool, baseline memoization),
+///   no results store,
+/// * `"serial"` — every engine optimization off (one worker, no baseline
+///   memoization),
 /// * `"cold"` — the full engine writing through to an empty results store,
 /// * `"warm"` — the same store re-read: every result served without
 ///   simulating (`simulated_instructions` is 0 when the store is fully warm).
@@ -48,8 +48,6 @@ pub struct CellResult {
     pub simulated_instructions: u64,
     /// Simulator cycles advanced one at a time.
     pub cycles_stepped: u64,
-    /// Simulator cycles fast-forwarded by event-driven skipping.
-    pub cycles_skipped: u64,
 }
 
 impl CellResult {
@@ -62,24 +60,12 @@ impl CellResult {
         }
     }
 
-    /// Fraction of all advanced cycles that were skipped rather than
-    /// stepped — the skip-engagement figure of merit.
-    pub fn skipped_fraction(&self) -> f64 {
-        let total = self.cycles_stepped + self.cycles_skipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.cycles_skipped as f64 / total as f64
-        }
-    }
-
     /// Renders this cell as one line of the v2 JSON document.
     fn render(&self) -> String {
         format!(
             "{{\"figure\": \"{}\", \"mode\": \"{}\", \"threads\": {}, \
              \"wall_seconds\": {:.6}, \"simulated_instructions\": {}, \
-             \"sim_instructions_per_second\": {:.1}, \"cycles_stepped\": {}, \
-             \"cycles_skipped\": {}, \"skipped_fraction\": {:.4}}}",
+             \"sim_instructions_per_second\": {:.1}, \"cycles_stepped\": {}}}",
             self.figure,
             self.mode,
             self.threads,
@@ -87,21 +73,18 @@ impl CellResult {
             self.simulated_instructions,
             self.sim_ips(),
             self.cycles_stepped,
-            self.cycles_skipped,
-            self.skipped_fraction(),
         )
     }
 }
 
 /// Measures one experiment in-process: wall seconds, simulated
-/// instructions, and the stepped/skipped cycle deltas from the
-/// process-global metrics. The tables themselves are discarded — this
+/// instructions, and the stepped-cycle delta from the process-global
+/// metrics. The tables themselves are discarded — this
 /// measures the engine, not the figures.
 pub fn time_experiment(name: &str, scale: &ExperimentScale) -> CellResult {
-    let (stepped_ctr, skipped_ctr) = cycle_counters();
+    let stepped_ctr = cycles_stepped_counter();
     let instructions_before = gaze_sim::runner::simulated_instructions();
     let stepped_before = stepped_ctr.get();
-    let skipped_before = skipped_ctr.get();
     let start = Instant::now();
     let tables = run_experiment(name, scale);
     let wall_seconds = start.elapsed().as_secs_f64();
@@ -113,23 +96,15 @@ pub fn time_experiment(name: &str, scale: &ExperimentScale) -> CellResult {
         wall_seconds,
         simulated_instructions: gaze_sim::runner::simulated_instructions() - instructions_before,
         cycles_stepped: stepped_ctr.get() - stepped_before,
-        cycles_skipped: skipped_ctr.get() - skipped_before,
     }
 }
 
-/// The process-global stepped/skipped cycle counters the simulator
-/// publishes into (`gaze_sim_cycles_*_total`).
-pub fn cycle_counters() -> (gaze_obs::metrics::Counter, gaze_obs::metrics::Counter) {
-    let reg = gaze_obs::metrics::registry();
-    (
-        reg.counter(
-            "gaze_sim_cycles_stepped_total",
-            "Simulator cycles advanced one at a time",
-        ),
-        reg.counter(
-            "gaze_sim_cycles_skipped_total",
-            "Simulator cycles fast-forwarded by event-driven skipping",
-        ),
+/// The process-global stepped-cycle counter the simulator publishes into
+/// (`gaze_sim_cycles_stepped_total`).
+pub fn cycles_stepped_counter() -> gaze_obs::metrics::Counter {
+    gaze_obs::metrics::registry().counter(
+        "gaze_sim_cycles_stepped_total",
+        "Simulator cycles advanced one at a time",
     )
 }
 
@@ -246,15 +221,13 @@ mod tests {
             wall_seconds: 2.0,
             simulated_instructions: (ips_base * 2.0) as u64,
             cycles_stepped: 300,
-            cycles_skipped: 700,
         }
     }
 
     #[test]
-    fn cell_computes_throughput_and_skip_fraction() {
+    fn cell_computes_throughput() {
         let c = cell("fig99", "parallel", 1, 2_000_000.0);
         assert!((c.sim_ips() - 2_000_000.0).abs() < 1e-6);
-        assert!((c.skipped_fraction() - 0.7).abs() < 1e-9);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `gaze-lint` — a workspace invariant analyzer.
 //!
 //! Every guarantee this reproduction rests on is a *contract between
-//! PRs*: bit-exact simulation across thread counts and skip modes,
+//! PRs*: bit-exact simulation across thread counts and cache modes,
 //! loud-failure crash safety behind `fault::check_io`, structured
 //! logging, and a documented catalog of every metric and `GAZE_*`
 //! environment variable. This crate enforces those contracts

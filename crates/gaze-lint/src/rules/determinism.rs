@@ -1,7 +1,7 @@
 //! Determinism rules for the simulation and render paths.
 //!
 //! Every figure, CSV and fingerprint this workspace emits is pinned
-//! bit-exact across thread counts and skip modes (`determinism.rs`,
+//! bit-exact across thread counts and cache modes (`determinism.rs`,
 //! golden fixtures). Two things quietly break that contract:
 //!
 //! * **wall clocks** — `SystemTime::now` / `Instant::now` values that

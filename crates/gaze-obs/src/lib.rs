@@ -23,8 +23,8 @@
 //! [`metrics::registry`]: `gaze-serve` (per-route request counters and
 //! latency histograms, job lifecycle), `results-store` (`gzr_*` decode /
 //! bloom / pread counters, flush and compaction durations), `gaze-sim`
-//! (store hit/miss, per-job wall time) and `sim-core` (cycles stepped
-//! vs. skipped). `gaze-serve` exposes the rendered registry at
+//! (store hit/miss, per-job wall time) and `sim-core` (cycles
+//! stepped). `gaze-serve` exposes the rendered registry at
 //! `GET /metrics`; see `docs/OBSERVABILITY.md` for the metric catalog
 //! and naming conventions.
 

@@ -6,7 +6,6 @@
 //!
 //! * `GAZE_THREADS` — worker count of the parallel experiment engine
 //!   (`1` forces the serial path),
-//! * `GAZE_CYCLE_SKIP=0` — disables event-driven cycle skipping,
 //! * `GAZE_BASELINE_CACHE=0` — disables baseline memoization,
 //! * `GAZE_TRACE_DIR` — stream packed GZT traces from this directory
 //!   instead of generating workloads in memory (see
@@ -47,12 +46,6 @@ fn count_instructions(params: &RunParams, cores: usize) {
         (params.warmup + params.measured) * cores as u64,
         Ordering::Relaxed,
     );
-}
-
-/// Whether event-driven cycle skipping is enabled (default yes;
-/// `GAZE_CYCLE_SKIP=0` turns it off for A/B measurements).
-pub fn cycle_skip_enabled() -> bool {
-    std::env::var("GAZE_CYCLE_SKIP").as_deref() != Ok("0")
 }
 
 /// Whether baseline memoization is enabled (default yes;
@@ -112,7 +105,7 @@ impl SingleRun {
 /// store-backed job path ([`run_single`] / [`run_multi_level_single`]),
 /// the baseline memoization and the microbenchmarks all go through it, so
 /// there is exactly one place where a core simulation is configured
-/// (cycle skipping, instruction accounting, optional L2 prefetcher).
+/// (instruction accounting, optional L2 prefetcher).
 pub fn simulate_core(
     trace: &dyn TraceSource,
     l1: Box<dyn Prefetcher>,
@@ -125,7 +118,6 @@ pub fn simulate_core(
     if let Some(l2) = l2 {
         system.set_l2_prefetcher(0, l2);
     }
-    system.set_cycle_skip(cycle_skip_enabled());
     count_instructions(params, 1);
     let report = system.run(params.warmup, params.measured);
     report.cores[0]
@@ -283,7 +275,6 @@ fn run_heterogeneous_fresh(
     let p = params.with_cores(cores);
     let prefetchers = (0..cores).map(|_| make_prefetcher(prefetcher)).collect();
     let mut system = System::new(p.config, traces.to_vec(), prefetchers);
-    system.set_cycle_skip(cycle_skip_enabled());
     count_instructions(&p, cores);
     system.run(p.warmup, p.measured)
 }

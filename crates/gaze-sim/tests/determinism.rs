@@ -1,16 +1,13 @@
 //! Determinism regression tests for the parallel experiment engine.
 //!
-//! The engine's three optimizations — thread-pool fan-out, baseline
-//! memoization and event-driven cycle skipping — must all be *exact*: the
-//! parallel engine produces bit-identical statistics to a fresh serial
-//! simulation of every pair.
+//! The engine's optimizations — thread-pool fan-out and baseline
+//! memoization — must both be *exact*: the parallel engine produces
+//! bit-identical statistics to a fresh serial simulation of every pair.
 
 use gaze_sim::experiments::{run_matrix, run_over, ExperimentScale};
-use gaze_sim::factory::{known_prefetchers, make_prefetcher};
+use gaze_sim::factory::make_prefetcher;
 use gaze_sim::runner::{records_for, run_single, simulate_core, RunParams};
 use gaze_sim::SingleRun;
-use sim_core::config::SimConfig;
-use sim_core::system::System;
 use sim_core::trace::TraceSource;
 use workloads::build_workload;
 
@@ -95,71 +92,6 @@ fn run_matrix_matches_serial_reference_and_is_repeatable() {
             .collect();
         assert_same_runs(&first[pi], &reference);
     }
-}
-
-/// Queue-aware cycle skipping must be exact for *every* constructible
-/// prefetcher — including the tick-driven Gaze variants whose Prefetch
-/// Buffer reports readiness via `next_ready_at` and the queue-heavy
-/// spatial baselines whose requests sit refused in the prefetch queue
-/// through MSHR/DRAM-backlog stalls. The `System` is driven directly so
-/// the skip toggle is per-instance (no env races across test threads).
-#[test]
-fn queue_aware_cycle_skip_is_bit_exact_for_every_prefetcher() {
-    let params = RunParams {
-        warmup: 1_000,
-        measured: 6_000,
-        ..RunParams::test()
-    };
-    let trace = build_workload("mcf_s", records_for(&params));
-    let mut cfg = params.config;
-    cfg.cores = 1;
-    for name in known_prefetchers() {
-        let run = |skip: bool| {
-            let mut sys = System::single_core(cfg, &trace, make_prefetcher(name));
-            sys.set_cycle_skip(skip);
-            let report = sys.run(params.warmup, params.measured);
-            (report, sys.cycle(), sys.cycles_skipped())
-        };
-        let (a, cycle_a, skipped) = run(true);
-        let (b, cycle_b, _) = run(false);
-        assert_eq!(a, b, "{name}: skipped run diverged from unskipped");
-        assert_eq!(cycle_a, cycle_b, "{name}: final cycle diverged");
-        assert!(
-            skipped > 0,
-            "{name}: skip never engaged on a memory-bound run"
-        );
-    }
-}
-
-/// The same exactness for a multi-core mix running a *different*
-/// prefetcher on every core: cross-core contention (shared LLC + DRAM)
-/// makes per-core stall windows interleave, so a skip bound that forgot
-/// any core's queued work would diverge here.
-#[test]
-fn queue_aware_cycle_skip_is_bit_exact_for_multicore_mixed_prefetchers() {
-    let params = RunParams {
-        warmup: 1_000,
-        measured: 5_000,
-        ..RunParams::test()
-    };
-    let names = ["gaze", "pmp", "vberti", "none"];
-    let traces: Vec<_> = ["mcf_s", "PageRank", "bwaves_s", "cassandra"]
-        .iter()
-        .map(|n| build_workload(n, records_for(&params)))
-        .collect();
-    let cfg = SimConfig::paper_multi_core(4);
-    let run = |skip: bool| {
-        let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
-        let prefetchers = names.iter().map(|n| make_prefetcher(n)).collect();
-        let mut sys = System::new(cfg, sources, prefetchers);
-        sys.set_cycle_skip(skip);
-        let report = sys.run(params.warmup, params.measured);
-        (report, sys.cycle())
-    };
-    let (a, cycle_a) = run(true);
-    let (b, cycle_b) = run(false);
-    assert_eq!(a, b, "mixed multi-core reports diverged");
-    assert_eq!(cycle_a, cycle_b, "mixed multi-core final cycle diverged");
 }
 
 #[test]

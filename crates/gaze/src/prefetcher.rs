@@ -309,12 +309,6 @@ impl Prefetcher for Gaze {
         self.pb.drain_into(sink);
     }
 
-    fn next_ready_at(&self, now: u64) -> Option<u64> {
-        // The Prefetch Buffer drains a few blocks on every tick while
-        // non-empty, so the very next cycle can emit.
-        (!self.pb.is_empty()).then_some(now + 1)
-    }
-
     fn storage_bits(&self) -> u64 {
         self.cfg.storage_breakdown_bits().total_bits()
     }
@@ -582,31 +576,6 @@ mod tests {
         }
         assert_eq!(g.stats().accesses, 0);
         assert!(g.tick_vec().is_empty());
-        assert_eq!(g.next_ready_at(0), None);
-    }
-
-    #[test]
-    fn next_ready_tracks_prefetch_buffer_occupancy() {
-        let mut g = Gaze::new();
-        assert_eq!(g.next_ready_at(10), None);
-        // Train one region, deactivate it, then re-trigger the learned
-        // event *without* ticking, so predictions sit in the Prefetch
-        // Buffer.
-        feed(&mut g, 0x400, 1, &[5, 9, 13, 17]);
-        deactivate(&mut g, 1);
-        for &o in &[5usize, 9] {
-            g.on_access_vec(&DemandAccess::load(0x400, 2 * 4096 + o as u64 * 64), false);
-        }
-        assert_eq!(
-            g.next_ready_at(10),
-            Some(11),
-            "a non-empty Prefetch Buffer drains on the very next tick"
-        );
-        // Drain completely: readiness reverts to None.
-        for _ in 0..300 {
-            g.tick_vec();
-        }
-        assert_eq!(g.next_ready_at(10), None);
     }
 
     #[test]

@@ -32,14 +32,9 @@ pub struct PrefetcherStats {
 /// * [`on_fill`](Prefetcher::on_fill) — called when a block (demand or
 ///   prefetch) is filled into the cache,
 /// * [`on_evict`](Prefetcher::on_evict) — called when a block is evicted,
-/// * [`tick`](Prefetcher::tick) — called once per simulated cycle so
+/// * [`tick`](Prefetcher::tick) — called on every simulated cycle so
 ///   prefetchers with internal queues (e.g. Gaze's Prefetch Buffer) can
-///   smooth issuance; pushes any requests that become ready into the sink,
-/// * [`next_ready_at`](Prefetcher::next_ready_at) — the earliest future
-///   cycle at which `tick` may emit requests without further input. The
-///   simulator's event-driven cycle skipping fast-forwards the clock up to
-///   (never past) the minimum of these across prefetchers, so skipping
-///   never changes behaviour.
+///   smooth issuance; pushes any requests that become ready into the sink.
 ///
 /// Implementations must be deterministic: the simulator relies on identical
 /// behaviour across runs for A/B experiments.
@@ -67,27 +62,11 @@ pub trait Prefetcher {
     }
 
     /// Advances internal state by one cycle and pushes any requests that
-    /// become ready into `sink` (used to smooth prefetch issuance).
+    /// become ready into `sink` (used to smooth prefetch issuance). The
+    /// simulator calls it exactly once per simulated cycle, before the
+    /// cycle's demand accesses.
     fn tick(&mut self, sink: &mut RequestSink) {
         let _ = sink;
-    }
-
-    /// The earliest cycle at which [`tick`](Self::tick) may produce requests
-    /// without any further `on_access`/`on_fill`/`on_evict` input, or `None`
-    /// if no future `tick` can emit anything until new input arrives.
-    ///
-    /// Contract with the simulator's cycle skipping: the simulator may elide
-    /// `tick` calls for every cycle strictly before the reported cycle, so
-    /// implementations must not rely on `tick` being invoked every cycle —
-    /// elided ticks must be no-ops (no state change, no emissions). A
-    /// prefetcher with a draining issue queue (Gaze's Prefetch Buffer emits
-    /// on every tick while non-empty) reports `now + 1`; stateless-tick
-    /// prefetchers keep the default `None`. Reporting a cycle later than the
-    /// true readiness would let the simulator skip cycles those requests
-    /// needed; reporting one too early is safe (the skip is merely shorter).
-    fn next_ready_at(&self, now: u64) -> Option<u64> {
-        let _ = now;
-        None
     }
 
     /// Total metadata storage required by the prefetcher, in bits.
@@ -169,7 +148,6 @@ mod tests {
         }
         p.tick(&mut sink);
         assert!(sink.is_empty());
-        assert_eq!(p.next_ready_at(123), None);
         assert_eq!(p.stats().accesses, 100);
         assert_eq!(p.storage_bits(), 0);
         assert_eq!(p.name(), "none");

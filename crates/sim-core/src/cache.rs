@@ -17,10 +17,10 @@ pub struct Eviction {
     pub was_dirty: bool,
 }
 
+/// Per-line replacement and prefetch metadata; the line's tag lives in
+/// [`CacheArray::tags`] so lookups scan a dense `u64` array.
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    block: BlockAddr,
-    valid: bool,
     lru: u64,
     prefetched: bool,
     used: bool,
@@ -30,15 +30,13 @@ struct Line {
 }
 
 impl Line {
-    fn invalid() -> Self {
+    fn filled(lru: u64, prefetched: bool, owner: usize) -> Self {
         Line {
-            block: BlockAddr::new(0),
-            valid: false,
-            lru: 0,
-            prefetched: false,
+            lru,
+            prefetched,
             used: false,
             dirty: false,
-            owner: 0,
+            owner,
         }
     }
 }
@@ -52,6 +50,10 @@ impl Line {
 pub struct CacheArray {
     sets: usize,
     ways: usize,
+    /// Block number held by each way, [`Self::INVALID`] for an empty way.
+    /// Block numbers are byte addresses shifted right by the line bits, so
+    /// the sentinel never collides with a real block.
+    tags: Vec<u64>,
     lines: Vec<Line>,
     tick: u64,
 }
@@ -67,16 +69,11 @@ pub struct HitInfo {
 }
 
 impl CacheArray {
+    const INVALID: u64 = u64::MAX;
+
     /// Creates an empty cache with the geometry of `config`.
     pub fn new(config: &CacheConfig) -> Self {
-        let sets = config.sets();
-        let ways = config.ways;
-        CacheArray {
-            sets,
-            ways,
-            lines: vec![Line::invalid(); sets * ways],
-            tick: 0,
-        }
+        Self::with_shape(config.sets(), config.ways)
     }
 
     /// Creates a cache with an explicit set/way shape (used for the shared
@@ -90,7 +87,8 @@ impl CacheArray {
         CacheArray {
             sets,
             ways,
-            lines: vec![Line::invalid(); sets * ways],
+            tags: vec![Self::INVALID; sets * ways],
+            lines: vec![Line::filled(0, false, 0); sets * ways],
             tick: 0,
         }
     }
@@ -105,12 +103,18 @@ impl CacheArray {
         self.ways
     }
 
-    fn set_of(&self, block: BlockAddr) -> usize {
-        (block.raw() as usize) & (self.sets - 1)
+    /// Index of the first way of `block`'s set.
+    fn set_base(&self, block: BlockAddr) -> usize {
+        ((block.raw() as usize) & (self.sets - 1)) * self.ways
     }
 
-    fn set_slice(&mut self, set: usize) -> &mut [Line] {
-        &mut self.lines[set * self.ways..(set + 1) * self.ways]
+    /// Line index holding `block`, if present.
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        let base = self.set_base(block);
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == block.raw())
+            .map(|way| base + way)
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -120,10 +124,8 @@ impl CacheArray {
 
     /// Whether `block` is present.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        let set = self.set_of(block);
-        self.lines[set * self.ways..(set + 1) * self.ways]
-            .iter()
-            .any(|l| l.valid && l.block == block)
+        let base = self.set_base(block);
+        self.tags[base..base + self.ways].contains(&block.raw())
     }
 
     /// Performs a demand access to `block`. On a hit, updates LRU, marks the
@@ -131,11 +133,8 @@ impl CacheArray {
     /// first demand use of a prefetched line. Returns `None` on a miss.
     pub fn demand_access(&mut self, block: BlockAddr, is_store: bool) -> Option<HitInfo> {
         let tick = self.next_tick();
-        let set = self.set_of(block);
-        let line = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|l| l.valid && l.block == block)?;
+        let i = self.find(block)?;
+        let line = &mut self.lines[i];
         line.lru = tick;
         if is_store {
             line.dirty = true;
@@ -152,13 +151,8 @@ impl CacheArray {
     /// (used when an upper level writes back into this level).
     pub fn touch(&mut self, block: BlockAddr) {
         let tick = self.next_tick();
-        let set = self.set_of(block);
-        if let Some(line) = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|l| l.valid && l.block == block)
-        {
-            line.lru = tick;
+        if let Some(i) = self.find(block) {
+            self.lines[i].lru = tick;
         }
     }
 
@@ -169,42 +163,36 @@ impl CacheArray {
     /// refreshed instead (a prefetch fill of a present line does not clear its
     /// used bit).
     pub fn fill(&mut self, block: BlockAddr, prefetched: bool, owner: usize) -> Option<Eviction> {
+        debug_assert_ne!(
+            block.raw(),
+            Self::INVALID,
+            "block collides with the sentinel"
+        );
         let tick = self.next_tick();
-        let ways = self.ways;
-        let set = self.set_of(block);
-        let slice = self.set_slice(set);
-        if let Some(line) = slice.iter_mut().find(|l| l.valid && l.block == block) {
-            line.lru = tick;
+        if let Some(i) = self.find(block) {
+            self.lines[i].lru = tick;
             return None;
         }
+        let base = self.set_base(block);
+        let set = base..base + self.ways;
         // Prefer an invalid way.
-        if let Some(line) = slice.iter_mut().find(|l| !l.valid) {
-            *line = Line {
-                block,
-                valid: true,
-                lru: tick,
-                prefetched,
-                used: false,
-                dirty: false,
-                owner,
-            };
+        if let Some(way) = self.tags[set.clone()]
+            .iter()
+            .position(|&t| t == Self::INVALID)
+        {
+            self.tags[base + way] = block.raw();
+            self.lines[base + way] = Line::filled(tick, prefetched, owner);
             return None;
         }
-        let victim_idx = (0..ways)
-            .min_by_key(|&i| slice[i].lru)
+        let victim_idx = set
+            .min_by_key(|&i| self.lines[i].lru)
             .expect("full set has a victim");
-        let victim = slice[victim_idx];
-        slice[victim_idx] = Line {
-            block,
-            valid: true,
-            lru: tick,
-            prefetched,
-            used: false,
-            dirty: false,
-            owner,
-        };
+        let victim = self.lines[victim_idx];
+        let victim_block = BlockAddr::new(self.tags[victim_idx]);
+        self.tags[victim_idx] = block.raw();
+        self.lines[victim_idx] = Line::filled(tick, prefetched, owner);
         Some(Eviction {
-            block: victim.block,
+            block: victim_block,
             was_prefetch: victim.prefetched,
             was_used: victim.used,
             was_dirty: victim.dirty,
@@ -213,34 +201,31 @@ impl CacheArray {
 
     /// Invalidates `block` if present, returning its eviction record.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Eviction> {
-        let set = self.set_of(block);
-        let line = self
-            .set_slice(set)
-            .iter_mut()
-            .find(|l| l.valid && l.block == block)?;
-        let ev = Eviction {
-            block: line.block,
+        let i = self.find(block)?;
+        let line = self.lines[i];
+        self.tags[i] = Self::INVALID;
+        Some(Eviction {
+            block,
             was_prefetch: line.prefetched,
             was_used: line.used,
             was_dirty: line.dirty,
-        };
-        line.valid = false;
-        Some(ev)
+        })
     }
 
     /// Iterates over all valid lines, reporting `(block, prefetched, used)`.
     /// Used at end of simulation to account for still-resident unused
     /// prefetches.
     pub fn resident_lines(&self) -> impl Iterator<Item = (BlockAddr, bool, bool, usize)> + '_ {
-        self.lines
+        self.tags
             .iter()
-            .filter(|l| l.valid)
-            .map(|l| (l.block, l.prefetched, l.used, l.owner))
+            .zip(&self.lines)
+            .filter(|(&t, _)| t != Self::INVALID)
+            .map(|(&t, l)| (BlockAddr::new(t), l.prefetched, l.used, l.owner))
     }
 
     /// Number of valid lines.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != Self::INVALID).count()
     }
 }
 
@@ -311,6 +296,24 @@ mod tests {
         assert!(c.invalidate(b).is_some());
         assert!(!c.contains(b));
         assert!(c.invalidate(b).is_none());
+    }
+
+    #[test]
+    fn invalidated_way_is_refilled_before_any_eviction() {
+        let mut c = CacheArray::with_shape(1, 2);
+        c.fill(BlockAddr::new(1), false, 0);
+        c.fill(BlockAddr::new(2), false, 0);
+        c.invalidate(BlockAddr::new(1));
+        assert!(c.fill(BlockAddr::new(3), true, 1).is_none());
+        assert!(c.contains(BlockAddr::new(2)) && c.contains(BlockAddr::new(3)));
+        let resident: Vec<_> = c.resident_lines().collect();
+        assert_eq!(
+            resident,
+            vec![
+                (BlockAddr::new(3), true, false, 1),
+                (BlockAddr::new(2), false, false, 0)
+            ]
+        );
     }
 
     #[test]

@@ -126,21 +126,6 @@ impl CoreModel {
     pub fn rob_occupancy(&self) -> usize {
         self.rob.len()
     }
-
-    /// The earliest cycle strictly after `now` at which this core's state can
-    /// change without new input: the completion time of the nearest
-    /// still-outstanding instruction. `None` when every ROB entry is already
-    /// complete (or the ROB is empty) — the core is not waiting on time.
-    ///
-    /// Used by the system's event-driven cycle skipping to fast-forward over
-    /// stall cycles.
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        self.rob
-            .iter()
-            .map(|e| e.ready_at)
-            .filter(|&r| r > now)
-            .min()
-    }
 }
 
 #[cfg(test)]

@@ -113,17 +113,6 @@ impl DramModel {
         self.channels[channel_idx].bus_free_at <= unloaded_completion + Self::PREFETCH_BACKLOG_LIMIT
     }
 
-    /// The earliest arrival cycle at which [`Self::accepts_prefetch`]
-    /// holds for `block`, assuming no intervening DRAM traffic. Read-only: used by the simulator's queue-aware cycle
-    /// skipping to bound how far the clock may fast-forward while a refused
-    /// prefetch waits for the channel backlog to clear.
-    pub fn prefetch_accepted_from(&self, block: BlockAddr) -> u64 {
-        let (channel_idx, _, _) = self.map(block);
-        self.channels[channel_idx]
-            .bus_free_at
-            .saturating_sub(self.idle_closed_latency() + Self::PREFETCH_BACKLOG_LIMIT)
-    }
-
     /// Services a *demand* line read for `block` arriving at `now`; returns
     /// the cycle at which the data transfer completes. Demand reads have
     /// priority at the controller: they queue only behind other demand

@@ -310,9 +310,8 @@ pub struct MemoryHierarchy {
     /// Monotone insertion counter feeding `fill_queue` tie-breaking.
     fill_seq: u64,
     /// Cached minimum completion cycle over live pending fills
-    /// (`u64::MAX` when none): the O(1) early-out of `advance_to` and
-    /// the O(1) answer of [`next_fill_at`](Self::next_fill_at). Exact at
-    /// all times — pushes and promotions only lower it, and every drain
+    /// (`u64::MAX` when none): the O(1) early-out of `advance_to`. Exact
+    /// at all times — pushes and promotions only lower it, and every drain
     /// recomputes it from the heap.
     next_pending_at: u64,
     l1_fill_events: Vec<Vec<L1FillEvent>>,
@@ -379,15 +378,16 @@ impl MemoryHierarchy {
     }
 
     /// Drains L1 fill notifications for `core` (for the prefetcher's
-    /// `on_fill` hook).
-    pub fn take_l1_fills(&mut self, core: usize) -> Vec<L1FillEvent> {
-        std::mem::take(&mut self.l1_fill_events[core])
+    /// `on_fill` hook). The buffer keeps its capacity, so the per-cycle
+    /// drain never allocates.
+    pub fn take_l1_fills(&mut self, core: usize) -> std::vec::Drain<'_, L1FillEvent> {
+        self.l1_fill_events[core].drain(..)
     }
 
     /// Drains L1 eviction notifications for `core` (for the prefetcher's
-    /// `on_evict` hook).
-    pub fn take_l1_evictions(&mut self, core: usize) -> Vec<BlockAddr> {
-        std::mem::take(&mut self.l1_evict_events[core])
+    /// `on_evict` hook), keeping the buffer's capacity.
+    pub fn take_l1_evictions(&mut self, core: usize) -> std::vec::Drain<'_, BlockAddr> {
+        self.l1_evict_events[core].drain(..)
     }
 
     /// Number of outstanding L1-level misses for `core` (occupied MSHRs),
@@ -416,15 +416,6 @@ impl MemoryHierarchy {
             self.stats[core].prefetch.requested += n;
             self.stats[core].prefetch.dropped_queue_full += n;
         }
-    }
-
-    /// The earliest completion cycle among pending fills, if any. After
-    /// [`advance_to`](Self::advance_to)`(now)` every remaining fill is
-    /// strictly in the future, so this is the hierarchy's next event time —
-    /// the cycle-skipping fast-forward target. O(1): the cached minimum is
-    /// exact at all times.
-    pub fn next_fill_at(&self) -> Option<u64> {
-        (self.next_pending_at != u64::MAX).then_some(self.next_pending_at)
     }
 
     /// Schedules a fill and keeps the event queue's invariants.
@@ -877,76 +868,6 @@ impl MemoryHierarchy {
         PrefetchOutcome::Issued
     }
 
-    /// Read-only mirror of [`issue_prefetch`](Self::issue_prefetch)'s gating
-    /// for queue-aware cycle skipping: the earliest cycle at which an attempt
-    /// to issue `req` could *consume* it (issue or drop-as-redundant) rather
-    /// than be refused with `MshrFull`, assuming no intervening simulation
-    /// activity. `0` means an attempt would consume it right now.
-    ///
-    /// The bound is conservative (never later than the true clear time):
-    /// while every core is stalled, cache contents, outstanding tables and
-    /// DRAM channel backlog are all frozen until the next fill applies, so
-    /// the only time-dependent refusals are the ones reproduced here —
-    /// L1 prefetch fill buffers free when a pending fill applies
-    /// ([`next_fill_at`](Self::next_fill_at)), L2 MSHR reservations expire at
-    /// recorded completion times, and the DRAM prefetch-backlog window
-    /// reopens as the channel bus drains. The skip target additionally
-    /// includes `next_fill_at` itself, so a bound that clears only at a fill
-    /// is never overshot.
-    pub fn prefetch_block_clear_at(&self, core: usize, req: &PrefetchRequest, now: u64) -> u64 {
-        let block = req.block;
-        let redundant = match req.fill_level {
-            FillLevel::L1 => self.l1d[core].contains(block),
-            FillLevel::L2 => self.l1d[core].contains(block) || self.l2c[core].contains(block),
-            FillLevel::Llc => {
-                self.l1d[core].contains(block)
-                    || self.l2c[core].contains(block)
-                    || self.llc.contains(block)
-            }
-        } || self.l1_outstanding[core].contains(block.raw())
-            || self.l2_pf_inflight[core].contains_key(&block.raw());
-        if redundant {
-            return 0;
-        }
-
-        let mut clear = 0u64;
-        match req.fill_level {
-            FillLevel::L1 => {
-                if self.l1_prefetch_occupancy(core) >= self.cfg.l1d.mshrs {
-                    // Prefetch fill buffers free only when a fill applies.
-                    clear = clear.max(self.next_pending_at);
-                }
-            }
-            FillLevel::L2 | FillLevel::Llc => {
-                // Live entries are those `issue_prefetch`'s retain would
-                // keep; the earliest expiry is when one MSHR frees. (A
-                // demand-promoted prefetch can leave an entry whose expiry
-                // is not any pending fill's time, so this is a distinct
-                // wake source from `next_fill_at`.)
-                let mut live = 0usize;
-                let mut earliest = u64::MAX;
-                for &r in &self.l2_inflight[core] {
-                    if r > now {
-                        live += 1;
-                        earliest = earliest.min(r);
-                    }
-                }
-                if live >= self.cfg.l2c.mshrs {
-                    clear = clear.max(earliest);
-                }
-            }
-        }
-
-        // Off-chip requests are additionally refused while the DRAM
-        // prefetch-backlog window is full; translate the channel's
-        // acceptance time from DRAM-arrival space back to issue cycles.
-        if !self.l2c[core].contains(block) && !self.llc.contains(block) {
-            let path = self.cfg.l1d.latency + self.cfg.l2c.latency + self.cfg.llc_per_core.latency;
-            clear = clear.max(self.dram.prefetch_accepted_from(block).saturating_sub(path));
-        }
-        clear
-    }
-
     /// Flushes all pending fills and accounts still-resident unused
     /// prefetched lines as useless. Call once at the end of a measured run.
     pub fn finalize(&mut self) {
@@ -1140,11 +1061,11 @@ mod tests {
         let b = BlockAddr::new(0x8000);
         let r = h.demand_access(0, b, false, 0);
         h.advance_to(r.complete_at);
-        let fills = h.take_l1_fills(0);
+        let fills: Vec<_> = h.take_l1_fills(0).collect();
         assert_eq!(fills.len(), 1);
         assert_eq!(fills[0].block, b);
         assert!(!fills[0].was_prefetch);
-        assert!(h.take_l1_fills(0).is_empty(), "notifications are drained");
+        assert_eq!(h.take_l1_fills(0).len(), 0, "notifications are drained");
     }
 
     #[test]

@@ -51,21 +51,9 @@ pub struct System<'t> {
     hierarchy: MemoryHierarchy,
     cores: Vec<PerCore<'t>>,
     cycle: u64,
-    cycle_skip: bool,
-    /// Cycles this system stepped one at a time (accumulated locally —
-    /// the per-cycle loop must not touch shared atomics).
-    cycles_stepped: u64,
-    /// Cycles fast-forwarded over by event-driven skipping.
-    cycles_skipped: u64,
-    /// Cycles jumped over solely to reach the wedge deadline when no event
-    /// was scheduled. Kept apart from `cycles_skipped`: a wedge jump is a
-    /// failure path, not recovered idle time, and must not inflate the
-    /// skip-engagement numbers the bench harness reports.
-    cycles_wedged: u64,
-    /// Watermarks of what has already been folded into the process-global
-    /// metrics, so the public getters can stay cumulative across runs.
-    published_stepped: u64,
-    published_skipped: u64,
+    /// Watermark of the cycles already folded into the process-global
+    /// metrics (the per-cycle loop must not touch shared atomics).
+    published_cycles: u64,
 }
 
 impl<'t> System<'t> {
@@ -121,25 +109,8 @@ impl<'t> System<'t> {
             hierarchy,
             cores,
             cycle: 0,
-            cycle_skip: true,
-            cycles_stepped: 0,
-            cycles_skipped: 0,
-            cycles_wedged: 0,
-            published_stepped: 0,
-            published_skipped: 0,
+            published_cycles: 0,
         }
-    }
-
-    /// Enables or disables event-driven cycle skipping (on by default).
-    ///
-    /// Skipping fast-forwards the clock over cycles that are provably
-    /// no-ops: every core stalled, and every queued prefetch guaranteed to
-    /// be refused (MSHRs full, DRAM backlog window closed) until the
-    /// fast-forward target. It is exact — every statistic is bit-identical
-    /// to the unskipped simulation — and exists as a toggle only so tests
-    /// can assert that equivalence.
-    pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.cycle_skip = enabled;
     }
 
     /// Attaches an L2C prefetcher to `core` (multi-level prefetching,
@@ -180,46 +151,35 @@ impl<'t> System<'t> {
         }
     }
 
-    /// Advances core `idx` by one cycle. Returns whether the core made any
-    /// observable progress (retired, dispatched, received fills/evictions,
-    /// emitted or issued prefetches) — the signal the event-driven cycle
-    /// skipping uses to detect fully stalled cycles.
-    fn step_core(&mut self, idx: usize, measuring: bool, target: u64) -> bool {
+    /// Advances core `idx` by one cycle.
+    fn step_core(&mut self, idx: usize, measuring: bool, target: u64) {
         let now = self.cycle;
         let cfg = self.cfg;
         let pc = &mut self.cores[idx];
         let mut dropped_queue_full = 0u64;
-        let mut progress = false;
 
         // 1. Deliver fill / eviction notifications to the L1 prefetcher.
         for fill in self.hierarchy.take_l1_fills(idx) {
             pc.l1_prefetcher.on_fill(fill.block, fill.was_prefetch);
-            progress = true;
         }
         for block in self.hierarchy.take_l1_evictions(idx) {
             pc.l1_prefetcher.on_evict(block);
-            progress = true;
         }
 
         // 2. Give the prefetcher its cycle tick (e.g. Gaze's Prefetch Buffer
         //    drains a few blocks per cycle).
         pc.sink.clear();
         pc.l1_prefetcher.tick(&mut pc.sink);
-        if !pc.sink.is_empty() {
-            progress = true;
-            Self::enqueue_sink(
-                &mut pc.prefetch_queue,
-                cfg.prefetch_queue,
-                &pc.sink,
-                false,
-                &mut dropped_queue_full,
-            );
-        }
+        Self::enqueue_sink(
+            &mut pc.prefetch_queue,
+            cfg.prefetch_queue,
+            &pc.sink,
+            false,
+            &mut dropped_queue_full,
+        );
 
         // 3. Retire.
-        if pc.core.retire(now) > 0 {
-            progress = true;
-        }
+        pc.core.retire(now);
         if measuring && pc.measured_cycles.is_none() {
             let after = pc.core.retired_instructions();
             pc.measured_instructions = after;
@@ -240,7 +200,6 @@ impl<'t> System<'t> {
             let (rec, remaining) = pc.pending.expect("pending record present");
             if remaining > 0 {
                 pc.core.dispatch_simple(now);
-                progress = true;
                 pc.pending = Some((rec, remaining - 1));
                 continue;
             }
@@ -297,17 +256,13 @@ impl<'t> System<'t> {
             } else {
                 pc.core.dispatch_load(result.complete_at);
             }
-            progress = true;
             pc.pending = None;
         }
 
         // 5. Issue prefetches from the queue, after demands so that demand
         //    misses get MSHRs first. A prefetch that cannot get a fill-buffer
         //    slot is rotated to the back of the queue (it is not lost and it
-        //    does not block requests behind it targeting other levels). A
-        //    cycle that only rotates refused requests has no observable
-        //    effect, so it does not count as progress — [`next_issue_cycle`]
-        //    can then fast-forward to the first cycle an attempt could land.
+        //    does not block requests behind it targeting other levels).
         for _ in 0..cfg.prefetch_issue_width {
             let Some(req) = pc.prefetch_queue.pop_front() else {
                 break;
@@ -316,78 +271,11 @@ impl<'t> System<'t> {
                 == crate::hierarchy::PrefetchOutcome::MshrFull
             {
                 pc.prefetch_queue.push_back(req);
-            } else {
-                progress = true;
             }
         }
         if dropped_queue_full > 0 {
             self.hierarchy
                 .note_prefetch_queue_drops(idx, dropped_queue_full);
-        }
-        progress
-    }
-
-    /// The earliest future cycle at which anything can *issue*, observed
-    /// from a cycle in which nothing progressed: the nearest pending cache
-    /// fill, ROB-entry completion, prefetcher tick readiness
-    /// ([`Prefetcher::next_ready_at`]) or prefetch-queue retry that could
-    /// consume a request — whichever comes first. Every cycle strictly
-    /// before the returned one is a provable no-op (queued prefetches only
-    /// rotate), so the clock may jump there. `None` means no event is
-    /// scheduled at all (the simulation is wedged).
-    fn next_issue_cycle(&self) -> Option<u64> {
-        let now = self.cycle;
-        let mut next = self.hierarchy.next_fill_at().unwrap_or(u64::MAX);
-        for pc in &self.cores {
-            if let Some(t) = pc.core.next_event_at(now) {
-                next = next.min(t);
-            }
-            if let Some(t) = pc.l1_prefetcher.next_ready_at(now) {
-                next = next.min(t.max(now + 1));
-            }
-            if let Some(t) = pc.l2_prefetcher.as_ref().and_then(|p| p.next_ready_at(now)) {
-                next = next.min(t.max(now + 1));
-            }
-        }
-        // Queued prefetches: request at queue position `p` gets its next
-        // issue attempt at `now + 1 + p / width` (each futile cycle attempts
-        // and rotates exactly `width` requests), but the attempt can only
-        // consume the request once its hierarchy-side refusal clears.
-        let width = self.cfg.prefetch_issue_width;
-        for (idx, pc) in self.cores.iter().enumerate() {
-            for (pos, req) in pc.prefetch_queue.iter().enumerate() {
-                let Some(batch) = pos.checked_div(width) else {
-                    // Zero issue width: queued requests can never issue.
-                    break;
-                };
-                let attempt = now + 1 + batch as u64;
-                if attempt >= next {
-                    // Attempt times grow with the position; nothing
-                    // further back can beat the current bound.
-                    break;
-                }
-                let clear = self.hierarchy.prefetch_block_clear_at(idx, req, now);
-                next = next.min(attempt.max(clear));
-            }
-        }
-        (next != u64::MAX).then_some(next)
-    }
-
-    /// Reproduces the prefetch-queue rotation that `elided` consecutive
-    /// futile cycles would have performed, so a fast-forwarded run attempts
-    /// requests in exactly the order the stepped run would. Each futile
-    /// cycle pops `width` requests and pushes every one back (all attempts
-    /// are refused on futile cycles by construction), i.e. rotates the
-    /// queue left by `width mod len`.
-    fn replay_queue_rotation(&mut self, elided: u64) {
-        let width = self.cfg.prefetch_issue_width as u64;
-        for pc in &mut self.cores {
-            let len = pc.prefetch_queue.len() as u64;
-            if len == 0 || width == 0 {
-                continue;
-            }
-            let rot = ((elided % len) * (width % len)) % len;
-            pc.prefetch_queue.rotate_left(rot as usize);
         }
     }
 
@@ -415,41 +303,9 @@ impl<'t> System<'t> {
             // MSHRs free and stalled cores can make progress even on cycles
             // where they issue no new requests.
             self.hierarchy.advance_to(self.cycle);
-            let mut any_progress = false;
             for idx in 0..self.cores.len() {
-                any_progress |= self.step_core(idx, measuring, instructions_per_core);
+                self.step_core(idx, measuring, instructions_per_core);
             }
-            // Event-driven cycle skipping: when every core is fully stalled
-            // (typically on DRAM) and every queued prefetch is provably
-            // refused until then, fast-forward straight to the next issue
-            // opportunity — fill completion, ROB wake-up, prefetcher tick
-            // readiness or MSHR/backlog retry — instead of spinning. The
-            // elided cycles' only effect, prefetch-queue rotation, is
-            // replayed so issue order stays bit-identical.
-            if self.cycle_skip && !any_progress {
-                match self.next_issue_cycle() {
-                    Some(next) if next > self.cycle => {
-                        let elided = next - self.cycle - 1;
-                        if elided > 0 {
-                            self.replay_queue_rotation(elided);
-                        }
-                        self.cycles_skipped += next - self.cycle;
-                        self.cycle = next;
-                        continue;
-                    }
-                    Some(_) => {}
-                    None => {
-                        // Nothing will ever happen again: jump to the deadline
-                        // so the wedge assertion above reports it. This is a
-                        // failure path, accounted apart from recovered idle
-                        // cycles (`cycles_skipped` feeds perf metrics).
-                        self.cycles_wedged += deadline - self.cycle;
-                        self.cycle = deadline;
-                        continue;
-                    }
-                }
-            }
-            self.cycles_stepped += 1;
             self.cycle += 1;
         }
         if measuring {
@@ -502,52 +358,22 @@ impl<'t> System<'t> {
         SimReport { cores }
     }
 
-    /// Cycles advanced one at a time since construction.
-    pub fn cycles_stepped(&self) -> u64 {
-        self.cycles_stepped
-    }
-
-    /// Cycles fast-forwarded over by event-driven skipping since
-    /// construction. Wedge-deadline jumps are excluded (see
-    /// [`cycles_wedged`](Self::cycles_wedged)).
-    pub fn cycles_skipped(&self) -> u64 {
-        self.cycles_skipped
-    }
-
-    /// Cycles jumped over solely to reach the wedge deadline (a run that
-    /// increments this panics immediately afterwards; the counter exists so
-    /// tests and diagnostics can tell a wedge jump from recovered idle
-    /// time).
-    pub fn cycles_wedged(&self) -> u64 {
-        self.cycles_wedged
-    }
-
-    /// Folds cycle counts accumulated since the previous publication into
-    /// the process-global metrics (`gaze_sim_cycles_*_total`). Two atomic
-    /// adds per `run`, nothing per cycle — and purely observational, so
-    /// simulation output stays bit-exact. Wedge jumps are never published:
-    /// they would inflate the skip totals right before the wedge panic.
+    /// Folds the cycles stepped since the previous publication into the
+    /// process-global `gaze_sim_cycles_stepped_total`. One atomic add per
+    /// `run`, nothing per cycle — and purely observational, so simulation
+    /// output stays bit-exact.
     fn publish_cycle_metrics(&mut self) {
         use std::sync::OnceLock;
-        static CYCLES: OnceLock<(gaze_obs::metrics::Counter, gaze_obs::metrics::Counter)> =
-            OnceLock::new();
-        let (stepped, skipped) = CYCLES.get_or_init(|| {
-            let reg = gaze_obs::metrics::registry();
-            (
-                reg.counter(
+        static STEPPED: OnceLock<gaze_obs::metrics::Counter> = OnceLock::new();
+        STEPPED
+            .get_or_init(|| {
+                gaze_obs::metrics::registry().counter(
                     "gaze_sim_cycles_stepped_total",
                     "Simulator cycles advanced one at a time",
-                ),
-                reg.counter(
-                    "gaze_sim_cycles_skipped_total",
-                    "Simulator cycles fast-forwarded by event-driven skipping",
-                ),
-            )
-        });
-        stepped.add(self.cycles_stepped - self.published_stepped);
-        skipped.add(self.cycles_skipped - self.published_skipped);
-        self.published_stepped = self.cycles_stepped;
-        self.published_skipped = self.cycles_skipped;
+                )
+            })
+            .add(self.cycle - self.published_cycles);
+        self.published_cycles = self.cycle;
     }
 }
 
@@ -715,125 +541,14 @@ mod tests {
         );
     }
 
-    /// Cycle skipping must be exact: every metric of every report equals the
-    /// unskipped simulation, across prefetching styles and core counts.
+    /// A core that can never retire steps to the deadline (100 × 10 000
+    /// cycles here) and reports the wedge instead of spinning forever.
     #[test]
-    fn cycle_skipping_is_bit_identical_to_unskipped_simulation() {
-        let stream = streaming_trace(3000);
-        let random = random_ish_trace(3000);
-        let single = SimConfig::paper_single_core();
-
-        fn run_pair<'t>(mk: &dyn Fn() -> System<'t>) -> (SimReport, SimReport, u64, u64) {
-            let mut skipped = mk();
-            let mut unskipped = mk();
-            unskipped.set_cycle_skip(false);
-            let a = skipped.run(1_000, 8_000);
-            let b = unskipped.run(1_000, 8_000);
-            (a, b, skipped.cycle(), unskipped.cycle())
-        }
-
-        // No prefetching: maximal stall windows, maximal skipping.
-        let (a, b, ca, cb) =
-            run_pair(&|| System::single_core(single, &random, Box::new(NullPrefetcher::new())));
-        assert_eq!(a, b, "null-prefetcher reports must match");
-        assert_eq!(ca, cb, "final cycle counts must match");
-
-        // An eager prefetcher exercising the queue/tick interaction.
-        let (a, b, ca, cb) = run_pair(&|| {
-            System::single_core(
-                single,
-                &stream,
-                Box::new(NextLine {
-                    degree: 8,
-                    l1_degree: 4,
-                }),
-            )
-        });
-        assert_eq!(a, b, "prefetching reports must match");
-        assert_eq!(ca, cb);
-
-        // Multi-core with heterogeneous traces.
-        let (a, b, ca, cb) = run_pair(&|| {
-            System::new(
-                SimConfig::paper_multi_core(2),
-                vec![&stream as &dyn TraceSource, &random],
-                vec![
-                    Box::new(NullPrefetcher::new()),
-                    Box::new(NextLine {
-                        degree: 4,
-                        l1_degree: 4,
-                    }),
-                ],
-            )
-        });
-        assert_eq!(a, b, "multi-core reports must match");
-        assert_eq!(ca, cb);
-    }
-
-    /// The queue-aware case: an eager prefetcher keeps the prefetch queue
-    /// non-empty through the stall windows, where the pre-queue-aware skip
-    /// disengaged entirely. The fast-forward must both engage and stay
-    /// bit-exact.
-    #[test]
-    fn queue_aware_skip_is_exact_and_engages_under_prefetch_pressure() {
-        let random = random_ish_trace(3000);
-        let mk = || {
-            System::single_core(
-                SimConfig::paper_single_core(),
-                &random,
-                Box::new(NextLine {
-                    degree: 16,
-                    l1_degree: 8,
-                }),
-            )
-        };
-        let mut skipped = mk();
-        let mut unskipped = mk();
-        unskipped.set_cycle_skip(false);
-        let a = skipped.run(1_000, 8_000);
-        let b = unskipped.run(1_000, 8_000);
-        assert_eq!(a, b, "queue-pressure reports must match");
-        assert_eq!(skipped.cycle(), unskipped.cycle());
-        assert!(
-            skipped.cycles_skipped() > 0,
-            "skip must engage on a memory-bound prefetcher-enabled run"
-        );
-        assert_eq!(unskipped.cycles_skipped(), 0);
-        // Skipped + stepped must account for exactly the cycles the
-        // unskipped run stepped through.
-        assert_eq!(
-            skipped.cycles_stepped() + skipped.cycles_skipped(),
-            unskipped.cycles_stepped()
-        );
-    }
-
-    /// Jumping to the deadline because nothing is scheduled is a failure
-    /// path; it must not be booked as recovered idle time.
-    #[test]
-    fn wedge_deadline_jump_is_not_counted_as_skipped() {
+    #[should_panic(expected = "simulation wedged")]
+    fn width_zero_core_panics_as_wedged() {
         let trace = streaming_trace(10);
         let mut cfg = SimConfig::paper_single_core();
         cfg.core.width = 0; // nothing can ever dispatch or retire
-        let mut sys = System::single_core(cfg, &trace, Box::new(NullPrefetcher::new()));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.run(0, 100)));
-        assert!(result.is_err(), "a width-0 core must wedge");
-        assert_eq!(sys.cycles_skipped(), 0, "wedge jump booked as skipped");
-        assert!(sys.cycles_wedged() > 0);
-    }
-
-    #[test]
-    fn cycle_skipping_advances_fewer_loop_iterations_but_same_final_cycle() {
-        // Sanity check that skipping actually engages on a memory-bound
-        // trace: the final cycle count is identical, and the run completes
-        // (the speedup itself is covered by the bench harness).
-        let random = random_ish_trace(2000);
-        let mut sys = System::single_core(
-            SimConfig::paper_single_core(),
-            &random,
-            Box::new(NullPrefetcher::new()),
-        );
-        let report = sys.run(500, 4_000);
-        assert!(report.cores[0].cycles > 0);
-        assert!(report.cores[0].instructions >= 4_000);
+        System::single_core(cfg, &trace, Box::new(NullPrefetcher::new())).run(0, 100);
     }
 }
