@@ -14,8 +14,9 @@
 //! recompiling; several `--spec` flags are planned jointly, so jobs
 //! shared across specs simulate once. The `plan` form is a dry run: it
 //! prints the job count and — with a results store active — the
-//! warm/cold split, without simulating anything. `specs` lists every
-//! built-in spec.
+//! warm/cold split and the traces it had to synthesize to fingerprint
+//! workloads (none once the store's fingerprint memo knows them),
+//! without simulating anything. `specs` lists every built-in spec.
 //!
 //! `--scale` accepts `test`, `quick`, `bench`/`full` or `paper`
 //! (`--full`/`--paper` remain as shorthands); unknown scales are
@@ -41,6 +42,7 @@
 use gaze_sim::experiments::{experiment_names, ExperimentScale};
 use gaze_sim::runner::simulated_instructions;
 use gaze_sim::spec::{builtin, plan, run_specs, text, ExperimentSpec};
+use gaze_sim::trace_store::traces_built;
 
 fn usage() -> ! {
     // gaze-lint: allow(eprintln) -- CLI usage error: bare stderr line is the interface
@@ -186,6 +188,7 @@ fn finish() {
                 ("rows", &rows),
                 ("mix_rows", &mix_rows),
                 ("instructions_simulated", &simulated_instructions()),
+                ("traces_built", &traces_built()),
             ],
         );
     }
@@ -269,6 +272,7 @@ fn main() {
                     println!("store: active");
                     println!("warm: {}", report.warm);
                     println!("cold: {}", report.cold);
+                    println!("traces built: {}", report.traces_built);
                 } else {
                     println!("store: none (all {} jobs cold)", report.cold);
                 }

@@ -10,7 +10,8 @@
 //!   fans (trace × prefetcher) pairs out with (`GAZE_THREADS` caps it),
 //! * [`trace_store`] — where traces come from: in-memory generators, or
 //!   packed GZT files streamed from `GAZE_TRACE_DIR` (pack them with the
-//!   `trace-pack` binary; format spec in `docs/TRACES.md`),
+//!   `trace-pack` binary; format spec in `docs/TRACES.md`), plus the
+//!   fingerprint memo that lets a warm sweep skip trace synthesis,
 //! * [`results`] — write-through persistence of every single-core run into
 //!   the on-disk results store (`GAZE_RESULTS_DIR`; format spec in
 //!   `docs/RESULTS.md`) with a read-before-simulate fast path — a warm

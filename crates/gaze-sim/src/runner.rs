@@ -205,10 +205,17 @@ fn run_level_fresh(
 /// Purely a function of the mix, so every path that runs the same mix
 /// labels it identically.
 pub fn mix_label(traces: &[&dyn TraceSource]) -> String {
-    let mut label = traces
+    let names: Vec<&str> = traces.iter().map(|t| t.name()).collect();
+    mix_label_of_names(&names)
+}
+
+/// [`mix_label`] from the workload names alone, so a mix can be looked
+/// up in the store without materializing its traces.
+pub fn mix_label_of_names<S: AsRef<str>>(names: &[S]) -> String {
+    let mut label = names
         .iter()
-        .map(|t| t.name())
-        .collect::<Vec<_>>()
+        .map(AsRef::as_ref)
+        .collect::<Vec<&str>>()
         .join("+");
     let max = results_store::format::GZR_LABEL_BYTES;
     if label.len() > max {

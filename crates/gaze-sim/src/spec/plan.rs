@@ -9,11 +9,12 @@ use sim_core::trace::TraceSource;
 use crate::baseline_cache::multicore_baseline;
 use crate::experiments::ExperimentScale;
 use crate::parallel::parallel_map;
+use crate::results::StoreHandle;
 use crate::runner::{
-    mix_label, multi_level_name, records_for, run_heterogeneous, run_multi_level_single, RunParams,
-    SingleRun,
+    mix_label_of_names, multi_level_name, records_for, run_heterogeneous, run_multi_level_single,
+    RunParams, SingleRun,
 };
-use crate::trace_store::{load_or_build, AnyTrace};
+use crate::trace_store::PlanTraces;
 
 use super::{resolve_workloads, split_levels, ConfigAxis, Entry, TableKind, TraceSel};
 
@@ -337,19 +338,15 @@ impl JobResults {
     }
 }
 
-/// Loads (or streams) every workload a plan touches, once each, in
-/// first-use order.
-fn load_traces(plan: &JobPlan, scale: &ExperimentScale) -> HashMap<String, AnyTrace> {
-    let records = records_for(&scale.params);
-    let mut traces = HashMap::new();
-    for job in plan.jobs() {
-        for name in job.workload_names() {
-            if !traces.contains_key(name) {
-                traces.insert(name.to_string(), load_or_build(name, records));
-            }
-        }
-    }
-    traces
+/// Resolves every workload the plan touches, once each, in first-use
+/// order: fingerprints up front when a store is active, traces on demand.
+fn plan_traces(plan: &JobPlan, scale: &ExperimentScale, store: Option<&StoreHandle>) -> PlanTraces {
+    let store_dir = store.map(|s| s.with_store(|s| s.dir().to_path_buf()));
+    PlanTraces::resolve(
+        plan.jobs().iter().flat_map(Job::workload_names),
+        records_for(&scale.params),
+        store_dir.as_deref(),
+    )
 }
 
 /// A jobs-completed observer for [`execute_with_progress`]: called as
@@ -357,9 +354,13 @@ fn load_traces(plan: &JobPlan, scale: &ExperimentScale) -> HashMap<String, AnyTr
 /// finished it.
 pub type Progress<'a> = &'a (dyn Fn(usize, usize) + Sync);
 
-/// Executes a plan: one flat parallel fan-out over every job, each going
-/// through the store-backed runners (read-before-simulate, write-through,
-/// memoized baselines). Results become durable before this returns.
+/// Executes a plan: one flat parallel fan-out over every job. With a
+/// results store active, each job is first looked up under trace
+/// fingerprints resolved at plan time (see
+/// [`trace_store`](crate::trace_store)), so a hit needs no trace at all;
+/// only a miss materializes its traces and goes through the store-backed
+/// runners (write-through, memoized baselines). Results become durable
+/// before this returns.
 pub fn execute(plan: &JobPlan, scale: &ExperimentScale) -> JobResults {
     execute_with_progress(plan, scale, None)
 }
@@ -372,7 +373,8 @@ pub fn execute_with_progress(
     scale: &ExperimentScale,
     progress: Option<Progress<'_>>,
 ) -> JobResults {
-    let traces = load_traces(plan, scale);
+    let store = crate::results::active_store();
+    let traces = plan_traces(plan, scale, store.as_deref());
     let total = plan.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
     let report_done = |output| {
@@ -389,41 +391,12 @@ pub fn execute_with_progress(
             Job::Single { .. } => "single",
             Job::Mix { .. } => "mix",
         };
-        let output = report_done(match job {
-            Job::Single {
-                workload,
-                l1,
-                l2,
-                params,
-            } => Output::Single(Box::new(run_multi_level_single(
-                &traces[workload.as_str()],
-                l1,
-                l2.as_deref(),
-                params,
-            ))),
-            Job::Mix {
-                workloads,
-                prefetcher,
-                params,
-            } => {
-                let refs: Vec<&dyn TraceSource> = workloads
-                    .iter()
-                    .map(|w| &traces[w.as_str()] as &dyn TraceSource)
-                    .collect();
-                // The "none" mix goes through the process-wide baseline
-                // memoization, exactly like the pre-spec figure code did.
-                let report = if prefetcher == "none" {
-                    multicore_baseline(&refs, params)
-                } else {
-                    run_heterogeneous(&refs, prefetcher, params)
-                };
-                Output::Mix(report)
-            }
-        });
+        let output = report_done(run_job(job, &traces, store.as_deref()));
         note_job(kind, job_started.elapsed().as_micros() as u64);
         output
     });
     crate::results::flush();
+    traces.persist();
     let mut results = JobResults::default();
     for (job, output) in plan.jobs().iter().zip(outputs) {
         match output {
@@ -436,6 +409,66 @@ pub fn execute_with_progress(
         }
     }
     results
+}
+
+/// Runs one job: a store lookup under the plan's fingerprints first,
+/// then (on a miss, or without a store) the store-backed runners on the
+/// job's materialized traces.
+fn run_job(job: &Job, traces: &PlanTraces, store: Option<&StoreHandle>) -> Output {
+    match job {
+        Job::Single {
+            workload,
+            l1,
+            l2,
+            params,
+        } => {
+            let stored = store.and_then(|s| {
+                let name = multi_level_name(l1, l2.as_deref());
+                s.lookup(
+                    traces.fingerprint(workload)?,
+                    params.fingerprint(),
+                    &name,
+                    workload,
+                )
+            });
+            let run = stored.unwrap_or_else(|| {
+                run_multi_level_single(traces.trace(workload), l1, l2.as_deref(), params)
+            });
+            Output::Single(Box::new(run))
+        }
+        Job::Mix {
+            workloads,
+            prefetcher,
+            params,
+        } => {
+            let stored = store.and_then(|s| {
+                let fps = workloads
+                    .iter()
+                    .map(|w| traces.fingerprint(w))
+                    .collect::<Option<Vec<u64>>>()?;
+                s.lookup_mix(
+                    sim_core::params::mix_fingerprint(&fps),
+                    params.with_cores(workloads.len()).fingerprint(),
+                    prefetcher,
+                    &mix_label_of_names(workloads),
+                )
+            });
+            let report = stored.unwrap_or_else(|| {
+                let refs: Vec<&dyn TraceSource> = workloads
+                    .iter()
+                    .map(|w| traces.trace(w) as &dyn TraceSource)
+                    .collect();
+                // The "none" mix goes through the process-wide baseline
+                // memoization, exactly like the pre-spec figure code did.
+                if prefetcher == "none" {
+                    multicore_baseline(&refs, params)
+                } else {
+                    run_heterogeneous(&refs, prefetcher, params)
+                }
+            });
+            Output::Mix(report)
+        }
+    }
 }
 
 enum Output {
@@ -481,12 +514,15 @@ pub struct PlanReport {
     pub warm: usize,
     /// Jobs that would simulate.
     pub cold: usize,
+    /// Synthetic traces the dry run built to fingerprint workloads the
+    /// fingerprint memo did not know (0 on a warm memo).
+    pub traces_built: usize,
 }
 
 /// Computes the dry-run summary of a plan: how many jobs, and — when a
 /// results store is active — how many are already stored (warm) versus
-/// would simulate (cold). Loads traces (to fingerprint them) but never
-/// simulates.
+/// would simulate (cold). Resolves fingerprints like [`execute`] does (a
+/// warm fingerprint memo builds no trace) but never simulates.
 pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
     let (singles, mixes) = plan.kind_counts();
     let mut report = PlanReport {
@@ -497,13 +533,15 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
         store_active: false,
         warm: 0,
         cold: plan.len(),
+        traces_built: 0,
     };
     let Some(store) = crate::results::active_store() else {
         return report;
     };
     report.store_active = true;
     report.cold = 0;
-    let traces = load_traces(plan, scale);
+    let traces = plan_traces(plan, scale, Some(&store));
+    let fingerprint = |w: &str| traces.fingerprint(w).expect("resolved with a store");
     for job in plan.jobs() {
         let warm = match job {
             Job::Single {
@@ -511,33 +549,23 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
                 l1,
                 l2,
                 params,
-            } => {
-                let fp = sim_core::trace::source_fingerprint(&traces[workload.as_str()]);
-                store.contains(
-                    fp,
-                    params.fingerprint(),
-                    &multi_level_name(l1, l2.as_deref()),
-                    workload,
-                )
-            }
+            } => store.contains(
+                fingerprint(workload),
+                params.fingerprint(),
+                &multi_level_name(l1, l2.as_deref()),
+                workload,
+            ),
             Job::Mix {
                 workloads,
                 prefetcher,
                 params,
             } => {
-                let refs: Vec<&dyn TraceSource> = workloads
-                    .iter()
-                    .map(|w| &traces[w.as_str()] as &dyn TraceSource)
-                    .collect();
-                let fps: Vec<u64> = refs
-                    .iter()
-                    .map(|t| sim_core::trace::source_fingerprint(*t))
-                    .collect();
+                let fps: Vec<u64> = workloads.iter().map(|w| fingerprint(w)).collect();
                 store.contains_mix(
                     sim_core::params::mix_fingerprint(&fps),
                     params.with_cores(workloads.len()).fingerprint(),
                     prefetcher,
-                    &mix_label(&refs),
+                    &mix_label_of_names(workloads),
                 )
             }
         };
@@ -547,6 +575,8 @@ pub fn dry_run(plan: &JobPlan, scale: &ExperimentScale) -> PlanReport {
             report.cold += 1;
         }
     }
+    report.traces_built = traces.built();
+    traces.persist();
     report
 }
 

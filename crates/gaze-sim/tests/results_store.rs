@@ -280,3 +280,253 @@ fn rerunning_a_sweep_adds_no_duplicate_rows() {
     assert_eq!(store.len(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// --- Warm path without trace synthesis --------------------------------
+//
+// The engine plans on trace fingerprints: a packed file's own, else the
+// fingerprint memo's, else a synthesized trace's. These tests pin what a
+// warm run must not do (synthesize a trace) and what the memo must never
+// do (shadow a packed file, or serve a wrong fingerprint uncorrected).
+
+use gaze_sim::spec::{builtin, plan, plan_specs};
+use gaze_sim::trace_store::{clear_fingerprint_memo, traces_built};
+use results_store::memo::{memo_path, merge_memo, read_memo, Memo, MemoKey};
+
+/// The fig09 sweep at the tiny scale: 15 single-core jobs over 5
+/// workloads (one per main suite).
+fn fig09_csv(scale: &ExperimentScale) -> String {
+    run_experiment("fig09", scale)
+        .iter()
+        .map(|t| t.to_csv())
+        .collect()
+}
+
+fn fig09_plan(scale: &ExperimentScale) -> plan::JobPlan {
+    let spec = builtin::builtin_spec("fig09").expect("builtin fig09");
+    plan_specs(&[&spec], scale)
+}
+
+fn memo_key(workload: &str, scale: &ExperimentScale) -> MemoKey {
+    MemoKey {
+        workload: workload.to_string(),
+        records: records_for(&scale.params) as u64,
+        generator: workloads::GENERATOR_VERSION,
+    }
+}
+
+fn counter(name: &'static str, help: &'static str) -> u64 {
+    gaze_obs::metrics::registry().counter(name, help).get()
+}
+
+fn memo_mismatches() -> u64 {
+    counter(
+        "gaze_sim_fingerprint_memo_mismatches_total",
+        "Memoized trace fingerprints contradicted by the synthesized trace",
+    )
+}
+
+fn memos_rejected() -> u64 {
+    counter(
+        "gzr_fingerprint_memos_rejected_total",
+        "Trace-fingerprint memo files rejected at load",
+    )
+}
+
+/// Cold fig09 into a fresh `dir` with the in-process memo cleared, so the
+/// run synthesizes every workload and writes the memo file. Returns the
+/// CSV.
+fn cold_fig09(dir: &std::path::Path, scale: &ExperimentScale) -> String {
+    clear_fingerprint_memo();
+    let _active = ActiveDir::new(dir);
+    let built = traces_built();
+    let csv = fig09_csv(scale);
+    assert_eq!(traces_built() - built, 5, "one synthesis per workload");
+    assert_eq!(read_memo(dir).expect("memo written").len(), 5);
+    csv
+}
+
+/// What a warm fig09 in a fresh process over `dir` does: (traces built,
+/// instructions simulated, CSV).
+fn warm_fig09(dir: &std::path::Path, scale: &ExperimentScale) -> (u64, u64, String) {
+    clear_fingerprint_memo();
+    let _active = ActiveDir::new_existing(dir);
+    let (built, instr) = (traces_built(), simulated_instructions());
+    let csv = fig09_csv(scale);
+    (
+        traces_built() - built,
+        simulated_instructions() - instr,
+        csv,
+    )
+}
+
+#[test]
+fn warm_run_from_the_memo_file_builds_no_trace() {
+    let _guard = store_lock();
+    let dir = temp_dir("memo-warm");
+    let scale = tiny_scale();
+    let cold = cold_fig09(&dir, &scale);
+    let (built, instr, warm) = warm_fig09(&dir, &scale);
+    assert_eq!(built, 0, "a warm store and memo synthesize nothing");
+    assert_eq!(instr, 0, "a warm store simulates nothing");
+    assert_eq!(warm, cold, "byte-identical CSV");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn warm_dry_run_builds_no_trace() {
+    let _guard = store_lock();
+    let dir = temp_dir("memo-dry");
+    let scale = tiny_scale();
+    cold_fig09(&dir, &scale);
+    clear_fingerprint_memo();
+    let _active = ActiveDir::new_existing(&dir);
+    let built = traces_built();
+    let report = plan::dry_run(&fig09_plan(&scale), &scale);
+    assert_eq!(traces_built(), built);
+    assert_eq!(report.traces_built, 0);
+    assert_eq!((report.warm, report.cold), (15, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Restores `GAZE_TRACE_DIR` on drop. Every test in this binary holds
+/// `store_lock`, so no other test reads the variable meanwhile.
+struct TraceDirVar;
+
+impl Drop for TraceDirVar {
+    fn drop(&mut self) {
+        std::env::remove_var("GAZE_TRACE_DIR");
+    }
+}
+
+#[test]
+fn a_packed_trace_wins_over_the_memo() {
+    let _guard = store_lock();
+    let dir = temp_dir("memo-packed");
+    let packed = temp_dir("memo-packed-traces");
+    let scale = tiny_scale();
+    cold_fig09(&dir, &scale);
+    let workload = "bwaves-06";
+    let memoized = read_memo(&dir).expect("memo")[&memo_key(workload, &scale)];
+
+    // Different content under the workload's name: half the records.
+    std::fs::create_dir_all(&packed).expect("trace dir");
+    let file = packed.join(workloads::pack::gzt_file_name(workload));
+    let half = records_for(&scale.params) / 2;
+    workloads::pack::pack_workload(workload, half, &file).expect("pack");
+    let packed_fp = source_fingerprint(&workloads::build_workload(workload, half));
+    assert_ne!(packed_fp, memoized);
+
+    std::env::set_var("GAZE_TRACE_DIR", &packed);
+    let _var = TraceDirVar;
+    let _active = ActiveDir::new_existing(&dir);
+    let (built, instr) = (traces_built(), simulated_instructions());
+    fig09_csv(&scale);
+    assert_eq!(
+        traces_built(),
+        built,
+        "the packed file is streamed, not built"
+    );
+    assert!(
+        simulated_instructions() > instr,
+        "the packed trace's jobs are new keys and must simulate"
+    );
+    let store = ResultsStore::open(&dir).expect("reopen");
+    let row = store
+        .get(packed_fp, scale.params.fingerprint(), "gaze")
+        .expect("rows keyed by the packed file's own fingerprint");
+    assert_eq!(row.workload, workload);
+    assert_eq!(
+        read_memo(&dir).expect("memo")[&memo_key(workload, &scale)],
+        memoized,
+        "a packed file's fingerprint never enters the memo"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&packed).ok();
+}
+
+#[test]
+fn a_wrong_memo_entry_is_detected_counted_and_corrected() {
+    let _guard = store_lock();
+    let dir = temp_dir("memo-wrong");
+    let scale = tiny_scale();
+    let cold = cold_fig09(&dir, &scale);
+    let key = memo_key("bwaves-06", &scale);
+    let right = read_memo(&dir).expect("memo")[&key];
+    let mut wrong = Memo::new();
+    wrong.insert(key.clone(), right ^ 0x5a5a);
+    merge_memo(&dir, &wrong).expect("inject a wrong entry");
+
+    let mismatches = memo_mismatches();
+    let (built, instr, warm) = warm_fig09(&dir, &scale);
+    assert_eq!(built, 1, "only the workload whose jobs missed is built");
+    assert_eq!(memo_mismatches() - mismatches, 1, "the mismatch is counted");
+    assert_eq!(
+        instr, 0,
+        "under its real fingerprint the workload is still stored"
+    );
+    assert_eq!(warm, cold, "byte-identical CSV despite the wrong entry");
+    assert_eq!(
+        read_memo(&dir).expect("memo")[&key],
+        right,
+        "the memo file is corrected"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_rejected_memo_file_is_rebuilt_and_the_warm_run_stays_correct() {
+    let _guard = store_lock();
+    let dir = temp_dir("memo-torn");
+    let scale = tiny_scale();
+    let cold = cold_fig09(&dir, &scale);
+    let path = memo_path(&dir);
+    let bytes = std::fs::read(&path).expect("memo bytes");
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("tear the memo");
+
+    let rejected = memos_rejected();
+    let (built, instr, warm) = warm_fig09(&dir, &scale);
+    assert!(memos_rejected() > rejected, "the torn memo is counted");
+    assert_eq!(built, 5, "every fingerprint is re-derived by synthesis");
+    assert_eq!(instr, 0, "the store itself is intact");
+    assert_eq!(warm, cold);
+    assert_eq!(std::fs::read(&path).expect("rebuilt memo"), bytes);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failed_memo_write_never_fails_a_sweep() {
+    use results_store::fault::{self, FaultKind};
+    let _guard = store_lock();
+    let scale = tiny_scale();
+    let reference = cold_fig09(&temp_dir("memo-fault-ref"), &scale);
+    std::fs::remove_dir_all(temp_dir("memo-fault-ref")).ok();
+    let _fx = fault::exclusive();
+    for point in [
+        "gzf.memo.create",
+        "gzf.memo.write",
+        "gzf.memo.fsync",
+        "gzf.memo.rename",
+    ] {
+        let dir = temp_dir(&format!("memo-fault-{point}"));
+        clear_fingerprint_memo();
+        fault::arm(point, FaultKind::Error(std::io::ErrorKind::Other));
+        let cold = {
+            let _active = ActiveDir::new(&dir);
+            fig09_csv(&scale)
+        };
+        fault::clear_all();
+        assert_eq!(cold, reference, "{point}: the sweep itself is unaffected");
+        assert!(!memo_path(&dir).exists(), "{point}: no memo was renamed in");
+        assert_eq!(ResultsStore::open(&dir).expect("reopen").len(), 15);
+        // Without a memo the next run re-derives the fingerprints by
+        // synthesis and still serves everything from the store.
+        let (built, instr, warm) = warm_fig09(&dir, &scale);
+        assert_eq!((built, instr), (5, 0), "{point}");
+        assert_eq!(warm, reference, "{point}");
+        assert!(
+            memo_path(&dir).exists(),
+            "{point}: the retry wrote the memo"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -28,6 +28,11 @@
 //! | `gzx.sidecar.write`  | on each write of sidecar bytes to the tmp file  |
 //! | `gzx.sidecar.fsync`  | before fsyncing the sidecar tmp file            |
 //! | `gzx.sidecar.rename` | before the sidecar's atomic rename into place   |
+//! | `gzf.memo.create`    | before creating the fingerprint memo's tmp file |
+//! | `gzf.memo.write`     | on each write of memo bytes to the tmp file     |
+//! | `gzf.memo.fsync`     | before fsyncing the memo tmp file               |
+//! | `gzf.memo.rename`    | before the memo's atomic rename into place      |
+//! | `gzf.memo.dirsync`   | after the memo rename, before the directory sync|
 //! | `gzr.compact.begin`  | at the start of a compaction, after the flush   |
 //! | `gzr.compact.write`  | before writing the merged segments              |
 //! | `gzr.compact.remove` | before unlinking each superseded old segment    |

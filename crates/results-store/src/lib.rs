@@ -28,6 +28,11 @@
 //! ([`sim_core::params::mix_fingerprint`]) folding the core count and
 //! every trace in the mix.
 //!
+//! Next to the segments, the [`memo`] file remembers the fingerprint of
+//! every synthetic trace a sweep has built, keyed by (workload, records,
+//! generator version), so a warm sweep can key its lookups without
+//! synthesizing the traces again.
+//!
 //! The crate is dependency-free (std only) like the rest of the
 //! workspace. The experiment harness integrates it behind the
 //! `GAZE_RESULTS_DIR` environment variable (see `gaze_sim::results`), and
@@ -67,6 +72,7 @@
 
 pub mod fault;
 pub mod format;
+pub mod memo;
 mod obs;
 pub mod sidecar;
 pub mod store;

@@ -26,6 +26,8 @@ pub(crate) struct StoreMetrics {
     pub read_errors: Counter,
     /// `.gzx` sidecars rejected at open (corrupt/stale; segment scanned).
     pub sidecars_rejected: Counter,
+    /// Fingerprint memo files rejected at load (re-synthesized instead).
+    pub memos_rejected: Counter,
     /// Wall time of flushes that persisted at least one record.
     pub flush_duration_us: Histogram,
     /// Wall time of compactions that actually merged segments.
@@ -58,6 +60,10 @@ pub(crate) fn metrics() -> &'static StoreMetrics {
             sidecars_rejected: r.counter(
                 "gzr_sidecars_rejected_total",
                 "Sidecar indexes rejected at segment load",
+            ),
+            memos_rejected: r.counter(
+                "gzr_fingerprint_memos_rejected_total",
+                "Trace-fingerprint memo files rejected at load",
             ),
             flush_duration_us: r.histogram(
                 "gzr_flush_duration_us",

@@ -11,14 +11,18 @@
 //! 3. the failed flush leaves its rows pending, and a retried flush
 //!    persists everything.
 //!
-//! The LCG property test at the bottom drives random kill-mid-flush
-//! schedules over multi-segment flushes (satellite: crash recovery).
+//! The LCG property test drives random kill-mid-flush schedules over
+//! multi-segment flushes (crash recovery). The same one-fault sweep
+//! covers the fingerprint memo's write path (`gzf.memo.*`): a failed
+//! memo write leaves the previous memo readable, never a torn one, and
+//! never stops the store from opening.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use results_store::fault::{self, FaultKind};
+use results_store::memo::{self, Memo, MemoKey};
 use results_store::{MixRecord, ResultsStore, RunRecord};
 use sim_core::stats::{CoreStats, SimReport};
 
@@ -416,5 +420,98 @@ fn lcg_kill_mid_flush_schedules_always_recover() {
         "every mix row recovered"
     );
     assert_eq!(final_store.conflicting_appends(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+const MEMO_POINTS: [&str; 5] = [
+    "gzf.memo.create",
+    "gzf.memo.write",
+    "gzf.memo.fsync",
+    "gzf.memo.rename",
+    "gzf.memo.dirsync",
+];
+
+fn memo_of(workloads: &[&str]) -> Memo {
+    workloads
+        .iter()
+        .map(|w| {
+            let key = MemoKey {
+                workload: w.to_string(),
+                records: 14_000,
+                generator: 1,
+            };
+            (key, fnv(w))
+        })
+        .collect()
+}
+
+/// Every memo failpoint × fault kind: the merge fails (or panics, like a
+/// crash), the store directory still opens with its segments intact, the
+/// memo on disk is exactly the old one or exactly the merged one, and a
+/// retried merge lands every entry.
+#[test]
+fn every_single_fault_in_a_memo_write_recovers() {
+    let _fx = fault::exclusive();
+    let mut cases_fired = 0usize;
+    for point in MEMO_POINTS {
+        for kind in KINDS {
+            let tag = format!("{point}-{}", kind_name(kind));
+            let dir = temp_dir(&tag);
+            let mut store = ResultsStore::open(&dir).expect("open");
+            seed_pending(&mut store);
+            store.flush().expect("flush");
+            let old = memo_of(&["bwaves_s", "mcf_s"]);
+            memo::merge_memo(&dir, &old).expect("first memo write");
+            let new = memo_of(&["PageRank", "canneal"]);
+            let mut merged = old.clone();
+            merged.extend(new.clone());
+
+            fault::arm_nth(point, 0, kind);
+            let result = catch_unwind(AssertUnwindSafe(|| memo::merge_memo(&dir, &new)));
+            assert!(fault::fired(point), "{tag}: the failpoint was reached");
+            fault::clear_all();
+            cases_fired += 1;
+            match (kind, &result) {
+                (FaultKind::Panic, r) => assert!(r.is_err(), "{tag}: expected panic"),
+                // `write_all` retries an injected `Interrupted` write.
+                (FaultKind::Error(std::io::ErrorKind::Interrupted), Ok(Ok(())))
+                    if point == "gzf.memo.write" => {}
+                (_, Ok(Err(_))) => {}
+                (_, other) => panic!("{tag}: unexpected merge outcome {other:?}"),
+            }
+
+            let reopened = reopen_clean(&dir, &tag);
+            assert_eq!((reopened.len(), reopened.mix_len()), (3, 2), "{tag}");
+            let on_disk = memo::read_memo(&dir)
+                .unwrap_or_else(|e| panic!("{tag}: memo left unreadable: {e}"));
+            assert!(
+                on_disk == old || on_disk == merged,
+                "{tag}: memo is neither the old nor the merged one: {on_disk:?}"
+            );
+            memo::merge_memo(&dir, &new).unwrap_or_else(|e| panic!("{tag}: retry failed: {e}"));
+            assert_eq!(memo::read_memo(&dir).expect("read"), merged, "{tag}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+    assert_eq!(cases_fired, MEMO_POINTS.len() * KINDS.len());
+}
+
+/// A short memo write leaves real bytes in a temp file, which is removed
+/// and never read as the memo.
+#[test]
+fn short_memo_write_leaves_no_torn_memo() {
+    let _fx = fault::exclusive();
+    let dir = temp_dir("memo-short-write");
+    std::fs::create_dir_all(&dir).expect("dir");
+    fault::arm("gzf.memo.write", FaultKind::ShortWrite);
+    assert!(memo::merge_memo(&dir, &memo_of(&["bwaves_s"])).is_err());
+    fault::clear_all();
+    let leftovers: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(leftovers.is_empty(), "leftover files: {leftovers:?}");
+    assert!(memo::read_memo(&dir).expect("absent memo").is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -172,3 +172,78 @@ fn reader_reloads_rows_flushed_by_racing_writers() {
     assert_eq!(reader.len(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Racing fingerprint-memo writers: each reads the memo, merges its own
+/// entries and renames over the file. Updates may be lost (the last
+/// rename wins), but a reader never sees a torn file, and every entry
+/// that survives is the one some writer computed — never a wrong value.
+#[test]
+fn racing_memo_writers_never_leave_a_wrong_entry() {
+    use results_store::memo::{merge_memo, read_memo, Memo, MemoKey};
+
+    const WRITERS: usize = 4;
+    const ROUNDS: usize = 25;
+    let truth = |name: &str, records: u64| -> u64 { record(name, 0).trace_fingerprint ^ records };
+    let key = |name: &str, records: u64| MemoKey {
+        workload: name.to_string(),
+        records,
+        generator: 1,
+    };
+
+    let dir = temp_dir("memo-race");
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let barrier = Arc::new(Barrier::new(WRITERS + 1));
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let reader = {
+        let (dir, barrier, done) = (dir.clone(), Arc::clone(&barrier), Arc::clone(&done));
+        std::thread::spawn(move || {
+            barrier.wait();
+            let mut reads = 0u64;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let memo = read_memo(&dir).expect("a racing reader never sees a torn memo");
+                for (k, fp) in &memo {
+                    assert_eq!(*fp, truth(&k.workload, k.records), "wrong entry {k:?}");
+                }
+                reads += 1;
+            }
+            reads
+        })
+    };
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|writer| {
+            let (dir, barrier) = (dir.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                for round in 0..ROUNDS {
+                    // Shared keys (every writer computes the same value)
+                    // and keys of this writer alone.
+                    let mut entries = Memo::new();
+                    let shared = format!("shared-{}", round % 5);
+                    entries.insert(key(&shared, 100), truth(&shared, 100));
+                    let own = format!("w{writer}-r{round}");
+                    entries.insert(key(&own, 7), truth(&own, 7));
+                    merge_memo(&dir, &entries).expect("merge");
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().expect("writer thread");
+    }
+    done.store(true, std::sync::atomic::Ordering::Relaxed);
+    assert!(reader.join().expect("reader thread") > 0);
+
+    let last = read_memo(&dir).expect("final memo");
+    assert!(!last.is_empty());
+    for (k, fp) in &last {
+        assert_eq!(*fp, truth(&k.workload, k.records), "wrong entry {k:?}");
+    }
+    let leftovers: Vec<String> = std::fs::read_dir(&dir)
+        .expect("read dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n != results_store::memo::MEMO_FILE_NAME)
+        .collect();
+    assert!(leftovers.is_empty(), "leftover temp files: {leftovers:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -21,6 +21,8 @@
 //! record stream the resulting [`SimReport`](crate::stats::SimReport)s are
 //! bit-identical.
 
+use std::sync::OnceLock;
+
 use prefetch_common::addr::Addr;
 
 /// One memory instruction in a trace.
@@ -147,11 +149,35 @@ pub fn source_fingerprint(source: &dyn TraceSource) -> u64 {
 /// The paper replays a trace from the start whenever it is exhausted before
 /// the simulation reaches its instruction budget; [`TraceCursor`] implements
 /// the same behaviour.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The records are immutable after construction, so the stream
+/// [`fingerprint`](TraceSource::fingerprint) is computed at most once and
+/// memoized. Equality and cloning ignore that cache: two traces are equal
+/// when their names and records are, and a clone starts with an empty one.
+#[derive(Debug)]
 pub struct Trace {
     name: String,
     records: Vec<TraceRecord>,
+    fingerprint: OnceLock<u64>,
 }
+
+impl Clone for Trace {
+    fn clone(&self) -> Self {
+        Trace {
+            name: self.name.clone(),
+            records: self.records.clone(),
+            fingerprint: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for Trace {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.records == other.records
+    }
+}
+
+impl Eq for Trace {}
 
 impl Trace {
     /// Creates a trace from records.
@@ -168,6 +194,7 @@ impl Trace {
         Trace {
             name: name.into(),
             records,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -225,6 +252,13 @@ impl TraceSource for Trace {
 
     fn reader(&self) -> Box<dyn TraceReader + '_> {
         Box::new(self.cursor())
+    }
+
+    /// Memoized: the records never change, so one pass is hashed once.
+    fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| streamed_fingerprint(self.len(), &mut self.cursor()))
     }
 }
 
@@ -326,5 +360,19 @@ mod tests {
         assert_ne!(source_fingerprint(&a), source_fingerprint(&b));
         // The fingerprint covers the record stream, not the name.
         assert_eq!(source_fingerprint(&a), source_fingerprint(&c));
+    }
+
+    #[test]
+    fn memoized_fingerprint_matches_a_streamed_pass_before_and_after_cloning() {
+        let t = tiny_trace();
+        let streamed = streamed_fingerprint(t.len(), &mut t.cursor());
+        assert_eq!(source_fingerprint(&t), streamed);
+        // Served from the cache the second time, with the same value.
+        assert_eq!(source_fingerprint(&t), streamed);
+        let copy = t.clone();
+        assert_eq!(copy, t, "equality ignores the cache");
+        assert_eq!(source_fingerprint(&copy), streamed);
+        // A fresh trace (empty cache) still equals a memoized one.
+        assert_eq!(tiny_trace(), t);
     }
 }

@@ -48,4 +48,5 @@ pub use builder::TraceBuilder;
 pub use pack::{pack_all_main, pack_suite, pack_workload, PackSummary};
 pub use suite::{
     all_main_workloads, build_suite, build_workload, is_known_workload, workload_names, Suite,
+    GENERATOR_VERSION,
 };

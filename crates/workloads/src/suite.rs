@@ -158,6 +158,17 @@ pub fn is_known_workload(name: &str) -> bool {
             .any(|s| workload_names(s).contains(&name))
 }
 
+/// Version of the synthetic generators' output.
+///
+/// A workload's trace is a pure function of (name, records, this
+/// version), which is what lets the experiment engine memoize trace
+/// fingerprints on disk instead of re-synthesizing a trace just to hash
+/// it. Bump it with any change that alters the records some
+/// [`build_workload`] call produces; the tier-1
+/// `tests/trace_fingerprints.rs` pin fails until you do (and then asks
+/// for its fixture to be regenerated).
+pub const GENERATOR_VERSION: u32 = 1;
+
 /// Builds the named workload as a trace of roughly `records` memory accesses.
 ///
 /// # Panics
